@@ -91,6 +91,18 @@ void BitMatrix::multiply_into(const BitMatrix& other, BitMatrix& out) const {
   }
 }
 
+void BitMatrix::rows_meeting_into(const BitVector& v, BitVector& out) const {
+  assert(v.dim_ == dim_ && out.dim_ == dim_);
+  assert(&out != &v);  // out is cleared before v is read
+  for (std::uint64_t& w : out.words_) w = 0;
+  for (std::size_t i = 0; i < dim_; ++i) {
+    const std::uint64_t* row = &words_[i * words_per_row_];
+    std::uint64_t meet = 0;
+    for (std::size_t w = 0; w < words_per_row_; ++w) meet |= row[w] & v.words_[w];
+    if (meet != 0) out.words_[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
+  }
+}
+
 BitMatrix BitMatrix::operator|(const BitMatrix& other) const {
   assert(dim_ == other.dim_);
   BitMatrix result = *this;

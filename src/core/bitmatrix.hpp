@@ -20,6 +20,8 @@ namespace lclpath {
 ///
 /// Invariant: all bits at column indices >= dim() are zero, which makes
 /// operator== and hashing well defined on the raw words.
+class BitVector;
+
 class BitMatrix {
  public:
   BitMatrix() = default;
@@ -44,6 +46,12 @@ class BitMatrix {
   /// its storage — for hot loops (monoid enumeration probes) that cannot
   /// afford an allocation per product.
   void multiply_into(const BitMatrix& other, BitMatrix& out) const;
+
+  /// this * v^T written into `out` (same dim): out[i] = OR_j M[i][j] AND
+  /// v[j], i.e. the rows of this matrix that meet v. Word-level per row.
+  /// By associativity (u * M) meets v iff u meets M * v^T, so one of these
+  /// replaces a vector-matrix product per row vector u tested against v.
+  void rows_meeting_into(const BitVector& v, BitVector& out) const;
 
   /// Element-wise OR / AND.
   BitMatrix operator|(const BitMatrix& other) const;
@@ -125,6 +133,7 @@ class BitVector {
   std::string to_string() const;
 
  private:
+  friend class BitMatrix;  // rows_meeting_into reads and writes words
   std::size_t dim_ = 0;
   std::vector<std::uint64_t> words_;
 };

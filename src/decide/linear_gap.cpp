@@ -8,6 +8,8 @@
 #include <tuple>
 #include <utility>
 
+#include "core/id_table.hpp"
+
 namespace lclpath {
 
 namespace {
@@ -274,8 +276,7 @@ std::vector<std::size_t> context_elements(const Monoid& monoid, std::size_t ell_
 //      the accepted one. Each branch removes one cap bit, so the search
 //      tree is finite and in practice shallow.
 //
-// Everything is O(|classes|^2 * |Sigma_in| * beta) bit-vector work per
-// pass — independent of the number of domain points (|contexts|^2 *
+// A pass is independent of the number of domain points (|contexts|^2 *
 // |Sigma_in|^2 * 3), which is what makes lifted undirected problems
 // classifiable at all. |classes| <= |contexts|: the search only reads a
 // context through its fwd matrix, its prefix vector (paths) and the class
@@ -283,6 +284,23 @@ std::vector<std::size_t> context_elements(const Monoid& monoid, std::size_t ell_
 // class (their caps stay equal through every pass, and a conflict branch
 // that removes a symbol removes it class-wide — complete, because a
 // symbol surviving at any member re-creates the same conflict).
+//
+// The quadratic loops run over distinct operands, not over classes:
+//
+//   * realizability (shrink) tests each distinct filter vector against
+//     each distinct partner filter — O(|Sigma_in|^2 * D_x * D_q)
+//     intersections, D = distinct vectors per input, instead of
+//     |Sigma_in|^2 * |pairs|^2;
+//   * support pruning uses the column-support identity: e_s * G meets the
+//     accept cap iff row s of fwd(c1) meets colsup(c2, s0) = head * cap^T,
+//     and the accept support is (emit * fwd(c1)) * head — O(|classes|^2 *
+//     |Sigma_in|) word-level products instead of that times beta;
+//   * the conflict scan groups c1 by its set of distinct emitted rows and
+//     (c2, s0) by (head, accept cap), and evaluates each group pair once,
+//     scanning in the original order so the branch taken is unchanged.
+//
+// Each is exact — the same predicate on the same operands — so caps,
+// conflicts and certificates are bit-identical to the per-class loops.
 // =====================================================================
 
 /// A gluing violation surviving the propagation fixpoint: emitted symbol
@@ -398,11 +416,20 @@ class FactorizedSearch {
   std::vector<std::size_t> rev_pair_;   ///< [pair (k, k')] -> pair (k', k)
   std::size_t n_pairs_ = 0;
 
-  /// row_[k][sym] = e_sym * fwd(class k).
-  std::vector<std::vector<BitVector>> row_;
-  /// head_[k][s0] = fwd(class k) * A(s0); a glue row is then
-  /// row_[k1][sym1] * head_[k2][s0] — no per-(k1,k2,s0) matrix is stored.
-  std::vector<std::vector<BitMatrix>> head_;
+  /// fwd_[k] = fwd(class k).
+  std::vector<const BitMatrix*> fwd_;
+  /// Glue tables, each value stored once. The glue row of sym1 at class
+  /// k1 against (k2, s0) is rows_[row_id_[k1][sym1]] *
+  /// heads_[head_id_[k2][s0]], where rows_ holds the distinct e_sym *
+  /// fwd(k) and heads_ the distinct fwd(k) * A(s0) — no per-(k1, k2, s0)
+  /// matrix is stored. cols_[col_id_[h * beta + y]] is column y of
+  /// heads_[h].
+  std::vector<BitVector> rows_;
+  std::vector<std::vector<std::uint32_t>> row_id_;
+  std::vector<BitMatrix> heads_;
+  std::vector<std::vector<std::uint32_t>> head_id_;
+  std::vector<BitVector> cols_;
+  std::vector<std::uint32_t> col_id_;
   /// cand_[s0][s1][va][vb] = candidate filter node(s0,va) & node(s1,vb) &
   /// edge(va,vb); cand_t_ is its transpose.
   std::vector<std::vector<BitMatrix>> cand_;
@@ -411,23 +438,49 @@ class FactorizedSearch {
   /// (left class, s0); vb sets passing the suffix check per right class.
   std::vector<std::vector<BitVector>> prefix_ok_;
   std::vector<BitVector> suffix_ok_;
-  /// Cap-independent endpoint projections: lend_b_[l][s0][s1] = b-symbols
-  /// of candidates whose va passes the prefix filter; rend_a_[r][s0][s1] =
-  /// a-symbols of candidates whose vb passes the suffix filter.
+  /// Cap-independent endpoint projections, one per distinct endpoint
+  /// filter: lend_b_[s0][s1] = b-symbols of the candidates whose va passes
+  /// a prefix_ok_[.][s0] filter; rend_a_[s0][s1] = a-symbols of the
+  /// candidates whose vb passes a suffix_ok_ filter.
   std::vector<std::vector<std::vector<BitVector>>> lend_b_;
   std::vector<std::vector<std::vector<BitVector>>> rend_a_;
 
   // Per-pass scratch (allocated once; recomputed from caps each pass).
   std::vector<std::vector<BitVector>> p_;   ///< [pair][s0]: va filter
   std::vector<std::vector<BitVector>> q_;   ///< [pair][s1]: vb filter
-  std::vector<std::vector<std::vector<BitVector>>> xb_;  ///< [pair][s0][s1]
-  std::vector<std::vector<std::vector<BitVector>>> ya_;  ///< [pair][s0][s1]
+  /// [s0][s1][r] projections of the r-th distinct p_[.][s0] (xb_) /
+  /// q_[.][s1] (ya_) filter; grown on demand, never shrunk.
+  std::vector<std::vector<std::vector<BitVector>>> xb_;
+  std::vector<std::vector<std::vector<BitVector>>> ya_;
   std::vector<BitVector> new_emit_;                      ///< [class]
   std::vector<std::vector<BitVector>> new_accept_;       ///< [class][s0]
   std::vector<BitVector> all_b_;                         ///< [s1]
   std::vector<BitVector> all_a_;                         ///< [s0]
   BitVector row_scratch_;
-  BitVector mask_scratch_;
+  /// Dedup scratch: one pair per distinct p_[.][s] / q_[.][s] (shrink),
+  /// and the interning table behind every group.
+  std::vector<std::vector<std::size_t>> distinct_q_;
+  std::vector<std::vector<std::size_t>> distinct_p_;
+  IdTable ids_;
+  /// Glue pass: colsup_[k * alpha + s0] = head(k, s0) * accept[k][s0]^T
+  /// and reach_[k] = emit[k] * fwd(k), one index per distinct vector of
+  /// each, and per-pass verdict memos over distinct rows / columns.
+  std::vector<BitVector> colsup_;
+  std::vector<BitVector> reach_;
+  std::vector<std::size_t> distinct_colsup_;
+  std::vector<std::size_t> distinct_reach_;
+  std::vector<std::uint8_t> row_verdict_;
+  std::vector<std::uint8_t> col_verdict_;
+  /// Conflict-scan groups: emitted-row-set keys (sorted distinct row ids
+  /// per class, key_off_ delimited), the group of each class and of each
+  /// (class, s0), a representative class per emit group, and the
+  /// per-group-pair verdict memo.
+  std::vector<std::uint32_t> key_buf_;
+  std::vector<std::size_t> key_off_;
+  std::vector<std::size_t> emit_group_;
+  std::vector<std::size_t> accept_group_;
+  std::vector<std::size_t> emit_group_rep_;
+  std::vector<std::uint8_t> glued_memo_;
 
   void build_classes() {
     // Classes: equal fwd matrix (and, on paths, equal prefix vector — the
@@ -497,16 +550,42 @@ class FactorizedSearch {
   }
 
   void build_tables() {
-    row_.resize(n_cls_);
-    head_.resize(n_cls_);
+    ids_.reserve(std::max(n_pairs_, n_cls_ * std::max(alpha_, beta_)));
+    BitVector unit(beta_);
+    BitVector scratch(beta_);
+    BitMatrix head(beta_);
+    fwd_.resize(n_cls_);
+    row_id_.assign(n_cls_, std::vector<std::uint32_t>(beta_));
+    ids_.clear();
     for (std::size_t k = 0; k < n_cls_; ++k) {
-      const BitMatrix& fwd = monoid_.element(contexts_[cls_rep_[k]]).fwd;
-      row_[k].reserve(beta_);
+      budget_checkpoint(budget_);
+      fwd_[k] = &monoid_.element(contexts_[cls_rep_[k]]).fwd;
       for (Label sym = 0; sym < beta_; ++sym) {
-        row_[k].push_back(BitVector::unit(beta_, sym).multiplied(fwd));
+        unit.set(sym, true);
+        unit.multiply_into(*fwd_[k], scratch);
+        unit.set(sym, false);
+        row_id_[k][sym] = intern_value(scratch, rows_);
       }
-      head_[k].reserve(alpha_);
-      for (Label s0 = 0; s0 < alpha_; ++s0) head_[k].push_back(fwd * ts_.step(s0));
+    }
+    head_id_.assign(n_cls_, std::vector<std::uint32_t>(alpha_));
+    ids_.clear();
+    for (std::size_t k = 0; k < n_cls_; ++k) {
+      budget_checkpoint(budget_);
+      for (Label s0 = 0; s0 < alpha_; ++s0) {
+        fwd_[k]->multiply_into(ts_.step(s0), head);
+        head_id_[k][s0] = intern_value(head, heads_);
+      }
+    }
+    col_id_.assign(heads_.size() * beta_, 0);
+    ids_.clear();
+    for (std::size_t h = 0; h < heads_.size(); ++h) {
+      budget_checkpoint(budget_);
+      for (Label y = 0; y < beta_; ++y) {
+        unit.set(y, true);
+        heads_[h].rows_meeting_into(unit, scratch);
+        unit.set(y, false);
+        col_id_[h * beta_ + y] = intern_value(scratch, cols_);
+      }
     }
 
     cand_.assign(alpha_, std::vector<BitMatrix>(alpha_));
@@ -530,19 +609,35 @@ class FactorizedSearch {
     if (!cycle_) {
       prefix_ok_.assign(n_cls_, std::vector<BitVector>(alpha_));
       suffix_ok_.assign(n_cls_, BitVector(beta_));
-      lend_b_.assign(n_cls_, std::vector<std::vector<BitVector>>(
-                                 alpha_, std::vector<BitVector>(alpha_)));
-      rend_a_ = lend_b_;
       for (std::size_t k = 0; k < n_cls_; ++k) {
+        budget_checkpoint(budget_);
         const MonoidElement& elem = monoid_.element(contexts_[cls_rep_[k]]);
         for (Label vb = 0; vb < beta_; ++vb) {
-          if (row_[k][vb].intersects(ts_.last_mask())) suffix_ok_[k].set(vb, true);
+          if (rows_[row_id_[k][vb]].intersects(ts_.last_mask())) suffix_ok_[k].set(vb, true);
         }
         for (Label s0 = 0; s0 < alpha_; ++s0) {
           prefix_ok_[k][s0] = elem.pvec.multiplied(ts_.step(s0));
+        }
+      }
+      lend_b_.assign(alpha_, std::vector<std::vector<BitVector>>(alpha_));
+      rend_a_ = lend_b_;
+      std::vector<std::size_t> reps;
+      collect_distinct(
+          n_cls_, [&](std::size_t k) -> const BitVector& { return suffix_ok_[k]; }, reps);
+      for (std::size_t k : reps) {
+        for (Label s0 = 0; s0 < alpha_; ++s0) {
           for (Label s1 = 0; s1 < alpha_; ++s1) {
-            lend_b_[k][s0][s1] = prefix_ok_[k][s0].multiplied(cand_[s0][s1]);
-            rend_a_[k][s0][s1] = suffix_ok_[k].multiplied(cand_t_[s0][s1]);
+            rend_a_[s0][s1].push_back(suffix_ok_[k].multiplied(cand_t_[s0][s1]));
+          }
+        }
+      }
+      for (Label s0 = 0; s0 < alpha_; ++s0) {
+        collect_distinct(
+            n_cls_, [&](std::size_t k) -> const BitVector& { return prefix_ok_[k][s0]; },
+            reps);
+        for (std::size_t k : reps) {
+          for (Label s1 = 0; s1 < alpha_; ++s1) {
+            lend_b_[s0][s1].push_back(prefix_ok_[k][s0].multiplied(cand_[s0][s1]));
           }
         }
       }
@@ -550,15 +645,57 @@ class FactorizedSearch {
 
     p_.assign(n_pairs_, std::vector<BitVector>(alpha_, BitVector(beta_)));
     q_ = p_;
-    xb_.assign(n_pairs_, std::vector<std::vector<BitVector>>(
-                             alpha_, std::vector<BitVector>(alpha_, BitVector(beta_))));
+    xb_.assign(alpha_, std::vector<std::vector<BitVector>>(alpha_));
     ya_ = xb_;
     new_emit_.assign(n_cls_, BitVector(beta_));
     new_accept_.assign(n_cls_, std::vector<BitVector>(alpha_, BitVector(beta_)));
     all_b_.assign(alpha_, BitVector(beta_));
     all_a_.assign(alpha_, BitVector(beta_));
     row_scratch_ = BitVector(beta_);
-    mask_scratch_ = BitVector(beta_);
+    distinct_q_.assign(alpha_, {});
+    distinct_p_.assign(alpha_, {});
+    for (Label s = 0; s < alpha_; ++s) {
+      distinct_q_[s].reserve(n_pairs_);
+      distinct_p_[s].reserve(n_pairs_);
+    }
+    colsup_.assign(n_cls_ * alpha_, BitVector(beta_));
+    reach_.assign(n_cls_, BitVector(beta_));
+    distinct_colsup_.reserve(n_cls_ * alpha_);
+    distinct_reach_.reserve(n_cls_);
+    row_verdict_.reserve(rows_.size());
+    col_verdict_.reserve(cols_.size());
+    key_buf_.reserve(n_cls_ * beta_);
+    key_off_.reserve(n_cls_ + 1);
+    emit_group_.resize(n_cls_);
+    accept_group_.resize(n_cls_ * alpha_);
+    emit_group_rep_.reserve(n_cls_);
+  }
+
+  /// Id of `value` among the distinct values in `store`, appending it if
+  /// new; ids_ must hold exactly the values of `store`.
+  template <class T>
+  std::uint32_t intern_value(const T& value, std::vector<T>& store) {
+    const std::size_t id = ids_.intern(value.hash(), store.size(),
+                                       [&](std::size_t rep, std::size_t) {
+                                         return store[rep] == value;
+                                       });
+    if (id == store.size()) store.push_back(value);
+    return static_cast<std::uint32_t>(id);
+  }
+
+  /// Sets `reps` to one index i < n per distinct vector at(i), in
+  /// first-seen order.
+  template <class At>
+  void collect_distinct(std::size_t n, At&& at, std::vector<std::size_t>& reps) {
+    ids_.clear();
+    reps.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      budget_checkpoint(budget_);
+      const BitVector& v = at(i);
+      const std::size_t id =
+          ids_.intern(v.hash(), i, [&](std::size_t rep, std::size_t) { return at(rep) == v; });
+      if (id == reps.size()) reps.push_back(i);
+    }
   }
 
   /// Per-point value filters implied by the caps: a candidate (va, vb) of
@@ -579,6 +716,14 @@ class FactorizedSearch {
     }
   }
 
+  /// out[r] = filters[reps[r]][s] * m for each distinct filter, growing
+  /// `out` when a pass sees more distinct filters than any before.
+  void project(const std::vector<std::size_t>& reps, Label s, const BitMatrix& m,
+               const std::vector<std::vector<BitVector>>& filters, std::vector<BitVector>& out) {
+    if (out.size() < reps.size()) out.resize(reps.size(), BitVector(beta_));
+    for (std::size_t r = 0; r < reps.size(); ++r) filters[reps[r]][s].multiply_into(m, out[r]);
+  }
+
   /// One arc-consistency pass over the quotient spaces: checks that every
   /// point class keeps a candidate under the caps, then shrinks each cap
   /// to the union of the surviving candidates' projections. Returns false
@@ -586,40 +731,52 @@ class FactorizedSearch {
   /// lost a bit.
   bool shrink_pass(AggregateCaps& caps, bool& changed) {
     derive_filters(caps);
-    for (std::size_t i = 0; i < n_pairs_; ++i) {
-      budget_checkpoint(budget_);
-      for (Label s0 = 0; s0 < alpha_; ++s0) {
-        for (Label s1 = 0; s1 < alpha_; ++s1) {
-          p_[i][s0].multiply_into(cand_[s0][s1], xb_[i][s0][s1]);
-          q_[i][s1].multiply_into(cand_t_[s0][s1], ya_[i][s0][s1]);
-        }
+    // Everything below the filters reads a pair only through its p_/q_
+    // vectors, so it runs over the distinct ones: xb = p * cand (b-symbols
+    // of the candidates whose va passes p) and ya = q * cand^T are
+    // computed once per distinct filter, stored at its first pair.
+    for (Label s = 0; s < alpha_; ++s) {
+      collect_distinct(
+          n_pairs_, [&](std::size_t i) -> const BitVector& { return p_[i][s]; },
+          distinct_p_[s]);
+      collect_distinct(
+          n_pairs_, [&](std::size_t i) -> const BitVector& { return q_[i][s]; },
+          distinct_q_[s]);
+    }
+    for (Label s0 = 0; s0 < alpha_; ++s0) {
+      for (Label s1 = 0; s1 < alpha_; ++s1) {
+        budget_checkpoint(budget_);
+        project(distinct_p_[s0], s0, cand_[s0][s1], p_, xb_[s0][s1]);
+        project(distinct_q_[s1], s1, cand_t_[s0][s1], q_, ya_[s0][s1]);
       }
     }
 
     // Realizability: every (l, s0, s1, r) combination is a domain point of
     // every applicable kind, so every pair-class combination must keep a
-    // candidate.
+    // candidate: each projection (left of the block) must meet each
+    // distinct filter (right of it).
+    const auto all_meet = [&](const std::vector<BitVector>& left, std::size_t n_left,
+                              const std::vector<std::size_t>& right,
+                              const std::vector<std::vector<BitVector>>& filters, Label s) {
+      for (std::size_t l = 0; l < n_left; ++l) {
+        budget_checkpoint(budget_);
+        for (std::size_t r : right) {
+          if (!left[l].intersects(filters[r][s])) return false;
+        }
+      }
+      return true;
+    };
     for (Label s0 = 0; s0 < alpha_; ++s0) {
       for (Label s1 = 0; s1 < alpha_; ++s1) {
-        for (std::size_t l = 0; l < n_pairs_; ++l) {
-          budget_checkpoint(budget_);
-          const BitVector& xb = xb_[l][s0][s1];
-          for (std::size_t r = 0; r < n_pairs_; ++r) {
-            if (!xb.intersects(q_[r][s1])) return false;  // interior died
-          }
+        if (!all_meet(xb_[s0][s1], distinct_p_[s0].size(), distinct_q_[s1], q_, s1)) {
+          return false;  // interior died
         }
         if (cycle_) continue;
-        for (std::size_t l = 0; l < n_cls_; ++l) {
-          const BitVector& lb = lend_b_[l][s0][s1];
-          for (std::size_t r = 0; r < n_pairs_; ++r) {
-            if (!lb.intersects(q_[r][s1])) return false;  // left end died
-          }
+        if (!all_meet(lend_b_[s0][s1], lend_b_[s0][s1].size(), distinct_q_[s1], q_, s1)) {
+          return false;  // left end died
         }
-        for (std::size_t r = 0; r < n_cls_; ++r) {
-          const BitVector& ra = rend_a_[r][s0][s1];
-          for (std::size_t l = 0; l < n_pairs_; ++l) {
-            if (!ra.intersects(p_[l][s0])) return false;  // right end died
-          }
+        if (!all_meet(rend_a_[s0][s1], rend_a_[s0][s1].size(), distinct_p_[s0], p_, s0)) {
+          return false;  // right end died
         }
       }
     }
@@ -631,15 +788,11 @@ class FactorizedSearch {
     }
     for (Label s0 = 0; s0 < alpha_; ++s0) {
       for (Label s1 = 0; s1 < alpha_; ++s1) {
-        for (std::size_t i = 0; i < n_pairs_; ++i) {
-          all_b_[s1] |= xb_[i][s0][s1];
-          all_a_[s0] |= ya_[i][s0][s1];
-        }
+        for (std::size_t r = 0; r < distinct_p_[s0].size(); ++r) all_b_[s1] |= xb_[s0][s1][r];
+        for (std::size_t r = 0; r < distinct_q_[s1].size(); ++r) all_a_[s0] |= ya_[s0][s1][r];
         if (!cycle_) {
-          for (std::size_t k = 0; k < n_cls_; ++k) {
-            all_b_[s1] |= lend_b_[k][s0][s1];
-            all_a_[s0] |= rend_a_[k][s0][s1];
-          }
+          for (const BitVector& b : lend_b_[s0][s1]) all_b_[s1] |= b;
+          for (const BitVector& a : rend_a_[s0][s1]) all_a_[s0] |= a;
         }
       }
     }
@@ -688,33 +841,75 @@ class FactorizedSearch {
   /// accepting point would die), and an accepted symbol no emitted symbol
   /// of some context glues with is equally dead. Returns false when a cap
   /// empties; sets `changed` on any prune.
+  ///
+  /// Both prunings reduce to intersections of distinct vectors. The glue
+  /// row of sym1 at c1 is row sym1 of fwd(c1) times head(c2, s0), so it
+  /// meets acc iff that row meets colsup = head * acc^T; and sym2 is glued
+  /// by some emitted symbol of c1 iff reach(c1) = emit * fwd(c1) meets
+  /// column sym2 of the head. Emit caps are pruned against the caps
+  /// current at the start of the pass, then accept caps against the pruned
+  /// emits — a different order than a per-triple sweep, but every pruning
+  /// is monotone and deflationary, so propagate() reaches the same
+  /// greatest fixpoint either way.
   bool glue_prune_pass(AggregateCaps& caps, bool& changed) {
-    BitVector& row = row_scratch_;
-    BitVector& support = mask_scratch_;
+    enum : std::uint8_t { kUnknown, kMeets, kMisses };
+    const auto meets_all = [&](const BitVector& v, const std::vector<std::size_t>& reps,
+                               const std::vector<BitVector>& vectors) {
+      for (std::size_t rep : reps) {
+        if (!v.intersects(vectors[rep])) return false;
+      }
+      return true;
+    };
+
+    // Emit side: row sym1 of fwd(c1) must meet every distinct colsup.
+    for (std::size_t i = 0; i < n_cls_ * alpha_; ++i) {
+      budget_checkpoint(budget_);
+      heads_[head_id_[i / alpha_][i % alpha_]].rows_meeting_into(
+          caps.accept[i / alpha_][i % alpha_], colsup_[i]);
+    }
+    collect_distinct(
+        n_cls_ * alpha_, [&](std::size_t i) -> const BitVector& { return colsup_[i]; },
+        distinct_colsup_);
+    row_verdict_.assign(rows_.size(), kUnknown);
     for (std::size_t c1 = 0; c1 < n_cls_; ++c1) {
-      for (std::size_t c2 = 0; c2 < n_cls_; ++c2) {
-        for (Label s0 = 0; s0 < alpha_; ++s0) {
+      BitVector& emit = caps.emit[c1];
+      for (Label sym1 = 0; sym1 < beta_; ++sym1) {
+        if (!emit.get(sym1)) continue;
+        std::uint8_t& verdict = row_verdict_[row_id_[c1][sym1]];
+        if (verdict == kUnknown) {
           budget_checkpoint(budget_);
-          BitVector& acc = caps.accept[c2][s0];
-          support.clear();
-          for (Label sym1 = 0; sym1 < beta_; ++sym1) {
-            if (!caps.emit[c1].get(sym1)) continue;
-            row_[c1][sym1].multiply_into(head_[c2][s0], row);
-            if (!row.intersects(acc)) {
-              caps.emit[c1].set(sym1, false);
-              changed = true;
-              if (!caps.emit[c1].any()) return false;
-              continue;
-            }
-            support |= row;
-          }
-          if (!acc.subset_of(support)) {
-            acc &= support;
-            changed = true;
-            if (!acc.any()) return false;
-          }
+          verdict = meets_all(rows_[row_id_[c1][sym1]], distinct_colsup_, colsup_) ? kMeets
+                                                                                  : kMisses;
+        }
+        if (verdict == kMisses) {
+          emit.set(sym1, false);
+          changed = true;
         }
       }
+      if (!emit.any()) return false;
+      emit.multiply_into(*fwd_[c1], reach_[c1]);
+    }
+
+    // Accept side: column sym2 of the head must meet every distinct reach.
+    collect_distinct(
+        n_cls_, [&](std::size_t k) -> const BitVector& { return reach_[k]; }, distinct_reach_);
+    col_verdict_.assign(cols_.size(), kUnknown);
+    for (std::size_t i = 0; i < n_cls_ * alpha_; ++i) {
+      BitVector& acc = caps.accept[i / alpha_][i % alpha_];
+      for (Label sym2 = 0; sym2 < beta_; ++sym2) {
+        if (!acc.get(sym2)) continue;
+        const std::uint32_t col = col_id_[head_id_[i / alpha_][i % alpha_] * beta_ + sym2];
+        std::uint8_t& verdict = col_verdict_[col];
+        if (verdict == kUnknown) {
+          budget_checkpoint(budget_);
+          verdict = meets_all(cols_[col], distinct_reach_, reach_) ? kMeets : kMisses;
+        }
+        if (verdict == kMisses) {
+          acc.set(sym2, false);
+          changed = true;
+        }
+      }
+      if (!acc.any()) return false;
     }
     return true;
   }
@@ -732,32 +927,97 @@ class FactorizedSearch {
 
   /// Scans for the first gluing violation left at the fixpoint, in
   /// deterministic (c1, c2, s0, sym2, sym1) order.
+  ///
+  /// Whether (c1, c2, s0) glues depends only on the set of distinct rows
+  /// c1 emits and on (head(c2, s0), accept cap), so classes are grouped
+  /// by those keys and each group pair is evaluated once; the scan still
+  /// visits triples in the original order and resolves the first
+  /// violating one exactly, so the returned conflict is unchanged.
   bool first_conflict(const AggregateCaps& caps, GlueConflict& out) {
+    // Emit groups: sorted distinct row ids of each class's emitted symbols.
+    key_buf_.clear();
+    key_off_.clear();
+    for (std::size_t c1 = 0; c1 < n_cls_; ++c1) {
+      budget_checkpoint(budget_);
+      const std::size_t start = key_buf_.size();
+      key_off_.push_back(start);
+      const BitVector& emit = caps.emit[c1];
+      for (Label sym = 0; sym < beta_; ++sym) {
+        if (emit.get(sym)) key_buf_.push_back(row_id_[c1][sym]);
+      }
+      std::sort(key_buf_.begin() + start, key_buf_.end());
+      key_buf_.erase(std::unique(key_buf_.begin() + start, key_buf_.end()), key_buf_.end());
+    }
+    key_off_.push_back(key_buf_.size());
+    const auto key_begin = [&](std::size_t c) { return key_buf_.begin() + key_off_[c]; };
+    const auto key_end = [&](std::size_t c) { return key_buf_.begin() + key_off_[c + 1]; };
+    ids_.clear();
+    emit_group_rep_.clear();
+    for (std::size_t c1 = 0; c1 < n_cls_; ++c1) {
+      budget_checkpoint(budget_);
+      std::size_t h = hash_mix(0xE417, key_off_[c1 + 1] - key_off_[c1]);
+      for (auto it = key_begin(c1); it != key_end(c1); ++it) h = hash_mix(h, *it);
+      emit_group_[c1] = ids_.intern(h, c1, [&](std::size_t rep, std::size_t c) {
+        return std::equal(key_begin(rep), key_end(rep), key_begin(c), key_end(c));
+      });
+      if (emit_group_[c1] == emit_group_rep_.size()) emit_group_rep_.push_back(c1);
+    }
+    // Accept groups: equal head matrix and equal accept cap.
+    ids_.clear();
+    for (std::size_t i = 0; i < n_cls_ * alpha_; ++i) {
+      budget_checkpoint(budget_);
+      const std::size_t c2 = i / alpha_;
+      const Label s0 = static_cast<Label>(i % alpha_);
+      const BitVector& acc = caps.accept[c2][s0];
+      accept_group_[i] = ids_.intern(
+          hash_mix(head_id_[c2][s0], acc.hash()), i, [&](std::size_t rep, std::size_t) {
+            return head_id_[rep / alpha_][rep % alpha_] == head_id_[c2][s0] &&
+                   caps.accept[rep / alpha_][rep % alpha_] == acc;
+          });
+    }
+    const std::size_t n_accept_groups = ids_.size();
+    enum : std::uint8_t { kUnknown, kGlued, kViolated };
+    glued_memo_.assign(emit_group_rep_.size() * n_accept_groups, kUnknown);
+
     BitVector& row = row_scratch_;
-    BitVector& glued_by_all = mask_scratch_;
     for (std::size_t c1 = 0; c1 < n_cls_; ++c1) {
       for (std::size_t c2 = 0; c2 < n_cls_; ++c2) {
         for (Label s0 = 0; s0 < alpha_; ++s0) {
           budget_checkpoint(budget_);
           const BitVector& acc = caps.accept[c2][s0];
-          glued_by_all = BitVector::ones(beta_);
+          const BitMatrix& head = heads_[head_id_[c2][s0]];
+          std::uint8_t& verdict =
+              glued_memo_[emit_group_[c1] * n_accept_groups + accept_group_[c2 * alpha_ + s0]];
+          if (verdict == kUnknown) {
+            verdict = kGlued;
+            const std::size_t rep = emit_group_rep_[emit_group_[c1]];
+            for (auto it = key_begin(rep); it != key_end(rep); ++it) {
+              rows_[*it].multiply_into(head, row);
+              if (!acc.subset_of(row)) {
+                verdict = kViolated;
+                break;
+              }
+            }
+          }
+          if (verdict == kGlued) continue;
+          BitVector glued_by_all = BitVector::ones(beta_);
           for (Label sym1 = 0; sym1 < beta_; ++sym1) {
             if (!caps.emit[c1].get(sym1)) continue;
-            row_[c1][sym1].multiply_into(head_[c2][s0], row);
+            rows_[row_id_[c1][sym1]].multiply_into(head, row);
             glued_by_all &= row;
           }
-          if (acc.subset_of(glued_by_all)) continue;
           BitVector bad = acc;
           bad.remove(glued_by_all);
           const Label sym2 = static_cast<Label>(bad.first_set());
           for (Label sym1 = 0; sym1 < beta_; ++sym1) {
             if (!caps.emit[c1].get(sym1)) continue;
-            row_[c1][sym1].multiply_into(head_[c2][s0], row);
+            rows_[row_id_[c1][sym1]].multiply_into(head, row);
             if (!row.get(sym2)) {
               out = GlueConflict{c1, c2, s0, sym1, sym2};
               return true;
             }
           }
+          throw std::logic_error("decide_linear_gap: conflict scan lost its violation");
         }
       }
     }

@@ -4,6 +4,7 @@
 
 #include "core/alphabet.hpp"
 #include "core/bitmatrix.hpp"
+#include "core/id_table.hpp"
 #include "core/rng.hpp"
 
 namespace lclpath {
@@ -168,6 +169,81 @@ TEST(BitVector, SubsetFirstSetAndInPlaceOps) {
   c.clear();
   EXPECT_FALSE(c.any());
   EXPECT_EQ(c.dim(), 130u);
+}
+
+TEST(BitMatrix, RowsMeetingMatchesNaiveAtWordBoundaries) {
+  Rng rng(19);
+  for (std::size_t dim : {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+                          std::size_t{130}}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      BitMatrix m(dim);
+      BitVector v(dim);
+      // Sparse operands, so that both meeting and missing rows occur.
+      for (std::size_t i = 0; i < dim; ++i) {
+        v.set(i, rng.next_bool(1, 8));
+        for (std::size_t j = 0; j < dim; ++j) m.set(i, j, rng.next_bool(1, 16));
+      }
+      BitVector out(dim);
+      out.set(rng.next_below(dim), true);  // stale contents must be overwritten
+      m.rows_meeting_into(v, out);
+      BitVector naive(dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        bool meet = false;
+        for (std::size_t j = 0; j < dim && !meet; ++j) meet = m.get(i, j) && v.get(j);
+        naive.set(i, meet);
+      }
+      // operator== compares raw words, so this also pins the padding
+      // invariant: no bit at index >= dim is set.
+      EXPECT_EQ(out, naive) << "dim " << dim;
+      EXPECT_EQ(out.count(), naive.count()) << "dim " << dim;
+      // The identity behind its use: (u * M) meets v iff u meets M * v^T.
+      BitVector u(dim);
+      for (std::size_t i = 0; i < dim; ++i) u.set(i, rng.next_bool(1, 4));
+      EXPECT_EQ(u.multiplied(m).intersects(v), u.intersects(out)) << "dim " << dim;
+    }
+  }
+  // All-ones rows against the all-ones vector at a word boundary: every
+  // row meets, and nothing spills past dim.
+  const BitMatrix ones = BitMatrix::ones(65);
+  BitVector out(65);
+  ones.rows_meeting_into(BitVector::ones(65), out);
+  EXPECT_EQ(out, BitVector::ones(65));
+  ones.rows_meeting_into(BitVector(65), out);
+  EXPECT_FALSE(out.any());
+}
+
+TEST(IdTable, AssignsDenseIdsInFirstSeenOrderAndReusesStorage) {
+  // Keys are bit vectors named by index; hashes are deliberately poor (a
+  // few buckets) so equal-hash collisions go through the equality test.
+  Rng rng(23);
+  std::vector<BitVector> keys;
+  for (int i = 0; i < 300; ++i) {
+    BitVector v(70);
+    v.set(rng.next_below(70), true);
+    v.set(rng.next_below(70), true);
+    keys.push_back(v);
+  }
+  IdTable table;
+  table.reserve(4);  // forces growth along the way
+  for (int round = 0; round < 2; ++round) {
+    table.clear();
+    std::vector<std::size_t> first_index;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::size_t id = table.intern(keys[i].count(), i, [&](std::size_t rep, std::size_t) {
+        return keys[rep] == keys[i];
+      });
+      std::size_t expected = first_index.size();
+      for (std::size_t k = 0; k < first_index.size(); ++k) {
+        if (keys[first_index[k]] == keys[i]) expected = k;
+      }
+      ASSERT_EQ(id, expected) << "round " << round << ", key " << i;
+      if (id == first_index.size()) first_index.push_back(i);
+      EXPECT_EQ(table.rep(id), first_index[id]);
+    }
+    EXPECT_EQ(table.size(), first_index.size());
+  }
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(Alphabet, AddFindRoundTrip) {

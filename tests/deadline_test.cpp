@@ -124,6 +124,74 @@ TEST(Deadline, ClassifyThrowsCancelledErrorOnDeadline) {
   }
 }
 
+// The strict escape bound of the Release deadline gate: a budgeted call
+// throws within 2x its deadline. Sanitizer builds inflate every clock, so
+// they keep only the order-of-magnitude bound.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || !defined(NDEBUG)
+constexpr bool kStrictEscapeBound = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kStrictEscapeBound = false;
+#else
+constexpr bool kStrictEscapeBound = true;
+#endif
+#else
+constexpr bool kStrictEscapeBound = true;
+#endif
+
+// A two-input, six-output undirected-cycle problem (monoid 96) whose
+// linear-gap search branches for minutes: its cost is search depth, so
+// every propagation pass and conflict scan runs many times over.
+constexpr const char* kDeepBranchingProblem = R"(lcl random-597
+topology undirected-cycle
+inputs i0 i1
+outputs o0 o1 o2 o3 o4 o5
+node i0 o0
+node i0 o2
+node i0 o4
+node i0 o5
+node i1 o1
+node i1 o2
+node i1 o3
+node i1 o4
+node i1 o5
+edge o0 o2
+edge o0 o3
+edge o0 o4
+edge o1 o5
+edge o2 o0
+edge o2 o4
+edge o3 o0
+edge o3 o3
+edge o3 o5
+edge o4 o0
+edge o4 o2
+edge o5 o1
+edge o5 o3
+end
+)";
+
+// The linear-gap search's deduplicated propagation and conflict loops
+// must honor a deadline: a 20 ms budget handed to the search itself (the
+// monoid is enumerated beforehand, so the clock runs only inside
+// decide_linear_gap) throws CancelledError within 2x.
+TEST(Deadline, LinearGapSearchLoopsHonorTheDeadline) {
+  const Monoid monoid =
+      Monoid::enumerate(TransitionSystem::build(parse_problem(kDeepBranchingProblem)));
+  const auto deadline = std::chrono::milliseconds(20);
+  ExecutionBudget budget;
+  budget.set_timeout(deadline);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    decide_linear_gap(monoid, LinearGapEngine::kFactorized, CertificateMode::kAuto, &budget);
+    FAIL() << "the search finished inside the deadline; pick a slower problem";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.reason(), CancelReason::kDeadline);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, kStrictEscapeBound ? 2 * deadline : kPromptBound);
+}
+
 // A cancelled classify must leave the shared MonoidCache without the
 // aborted problem's skeleton (a half-used monoid must not be published by
 // a run that failed).
