@@ -118,6 +118,10 @@ class BitVector {
   bool subset_of(const BitVector& other) const;
   /// Index of the lowest set bit, or dim() if none.
   std::size_t first_set() const;
+  /// The packed bits: ceil(dim() / 64) words, bit i of the vector at bit
+  /// i % 64 of word i / 64; padding bits past dim() are zero. Word-level
+  /// read access for hot loops over flat buffers (the completion DP).
+  const std::uint64_t* words() const { return words_.data(); }
 
   BitVector operator|(const BitVector& other) const;
   BitVector operator&(const BitVector& other) const;

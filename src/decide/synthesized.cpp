@@ -634,40 +634,45 @@ struct ConstAnalysis {
   void find_anchors() {
     anchored.assign(len, 0);
     anchor_label.assign(len, 0);
-    // Cache periodic labelings per canonical pattern.
-    std::unordered_map<std::size_t, Word> labeling_cache;  // hash of word -> labeling
-    std::unordered_map<std::size_t, Word> word_cache;
+    // Inside a claimed run the input is q-periodic and every anchor sits at
+    // least 4q from the run's ends, so all anchors of one run share the
+    // canonical rotation and its periodic labeling; the phase advances by
+    // one per position. (A claimed q is primitive: a pattern with a smaller
+    // period d | q lies in a d-run that is at least as long and meets its
+    // lower threshold, so the d-run claims those positions first.)
+    std::size_t labeled_begin = 0, labeled_q = 0;  // run of `labeling`
+    std::size_t base = 0, base_phase = 0;          // an anchor and its phase
+    Word labeling;
     for (std::size_t i = 0; i < len; ++i) {
       const std::size_t q = period[i];
       if (q == 0) continue;
       const std::size_t margin = run_margin[i];
       if (i < run_begin[i] + margin || i + margin >= run_end[i]) continue;
-      // Canonical rotation of the period and the phase of i within it.
-      Word rotation(in.begin() + static_cast<std::ptrdiff_t>(i),
-                    in.begin() + static_cast<std::ptrdiff_t>(i + q));
-      Word canon = rotation;
-      std::size_t phase = 0;
-      for (std::size_t s = 1; s < q; ++s) {
-        Word candidate;
-        candidate.reserve(q);
-        for (std::size_t k = 0; k < q; ++k) candidate.push_back(rotation[(s + k) % q]);
-        if (candidate < canon) {
-          canon = candidate;
-          phase = (q - s) % q;
+      if (q != labeled_q || run_begin[i] != labeled_begin) {
+        // Canonical rotation of the period and the phase of i within it.
+        Word rotation(in.begin() + static_cast<std::ptrdiff_t>(i),
+                      in.begin() + static_cast<std::ptrdiff_t>(i + q));
+        Word canon = rotation;
+        std::size_t phase = 0;
+        for (std::size_t s = 1; s < q; ++s) {
+          Word candidate;
+          candidate.reserve(q);
+          for (std::size_t k = 0; k < q; ++k) candidate.push_back(rotation[(s + k) % q]);
+          if (candidate < canon) {
+            canon = candidate;
+            phase = (q - s) % q;
+          }
         }
-      }
-      // phase: index of i within canon. canon[k] = rotation[(s*+k) % q]
-      // where s* minimizes; i corresponds to rotation[0] = canon[phase].
-      std::size_t h = hash_mix(0xC0, q);
-      for (Label l : canon) h = hash_mix(h, l);
-      auto it = labeling_cache.find(h);
-      if (it == labeling_cache.end() || word_cache[h] != canon) {
-        labeling_cache[h] = periodic_labeling(canon);
-        word_cache[h] = canon;
-        it = labeling_cache.find(h);
+        // phase: index of i within canon. canon[k] = rotation[(s*+k) % q]
+        // where s* minimizes; i corresponds to rotation[0] = canon[phase].
+        labeling = periodic_labeling(canon);
+        labeled_begin = run_begin[i];
+        labeled_q = q;
+        base = i;
+        base_phase = phase;
       }
       anchored[i] = 1;
-      anchor_label[i] = it->second[phase];
+      anchor_label[i] = labeling[(base_phase + (i - base)) % q];
     }
   }
 

@@ -1,6 +1,7 @@
 #include "lcl/verifier.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -239,82 +240,114 @@ std::optional<Word> complete_by_dp(const PairwiseProblem& problem, const Word& i
   if (n == 0 || fixed.size() != n) return std::nullopt;
   const std::size_t beta = problem.num_outputs();
   const bool cycle = is_cycle(problem.topology());
+  // Label sets are W packed words per position (bit b of word b / 64), laid
+  // out position-major in flat n * W buffers.
+  const std::size_t W = (beta + 63) / 64;
+  auto has = [](const std::uint64_t* set, Label b) { return (set[b / 64] >> (b % 64)) & 1u; };
+  auto any = [W](const std::uint64_t* set) {
+    std::uint64_t bits = 0;
+    for (std::size_t w = 0; w < W; ++w) bits |= set[w];
+    return bits != 0;
+  };
+  // Restricts a set to the single label b (empty if b is not in it).
+  auto keep_only = [W, beta, has](std::uint64_t* set, Label b) {
+    const bool kept = b < beta && has(set, b);
+    std::fill(set, set + W, 0);
+    if (kept) set[b / 64] = std::uint64_t{1} << (b % 64);
+  };
+  // Lowest label in set & mask (mask may be null), or beta if none.
+  auto lowest = [W, beta](const std::uint64_t* set, const std::uint64_t* mask) {
+    for (std::size_t w = 0; w < W; ++w) {
+      const std::uint64_t bits = mask ? set[w] & mask[w] : set[w];
+      if (bits != 0) return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    }
+    return beta;
+  };
 
-  // candidates[v] = outputs allowed at v by C_node and the pre-assignment.
-  std::vector<BitVector> candidates(n);
+  // cand[v] = outputs allowed at v by C_node and the pre-assignment.
+  std::vector<std::uint64_t> cand(n * W);
+  const BitVector& last = problem.last_mask();
   for (std::size_t v = 0; v < n; ++v) {
-    BitVector c = (!cycle && v == 0) ? problem.outputs_for_first(inputs[v])
-                                     : problem.outputs_for(inputs[v]);
-    if (!cycle && v == n - 1 && problem.last_mask().dim() != 0) {
-      c = c & problem.last_mask();
+    const BitVector& allowed = (!cycle && v == 0) ? problem.outputs_for_first(inputs[v])
+                                                  : problem.outputs_for(inputs[v]);
+    std::uint64_t* c = &cand[v * W];
+    std::copy(allowed.words(), allowed.words() + W, c);
+    if (!cycle && v == n - 1 && last.dim() != 0) {
+      for (std::size_t w = 0; w < W; ++w) c[w] &= last.words()[w];
     }
-    if (fixed[v].has_value()) {
-      BitVector only(beta);
-      only.set(*fixed[v], true);
-      c = c & only;
-    }
-    if (!c.any()) return std::nullopt;
-    candidates[v] = c;
+    if (fixed[v].has_value()) keep_only(c, *fixed[v]);
+    if (!any(c)) return std::nullopt;
   }
 
+  // Edge rows: row(a) = the labels b with (a, b) in C_edge.
   const BitMatrix& edge = problem.edge_matrix();
+  const std::uint64_t* rows = edge.row_words(0);
+  auto row = [rows, W](std::size_t a) { return rows + a * W; };
 
   // For a path: forward reachability with per-position candidate masks,
-  // then backward greedy extraction (lexicographically smallest).
+  // then a backward pass that keeps the labels admitting a completion, then
+  // forward greedy extraction (lexicographically smallest).
   // For a cycle: additionally condition on the first node's label so the
   // wrap edge can be enforced; try first labels in increasing order.
+  std::vector<std::uint64_t> reach(n * W);
   auto solve_linear = [&](std::optional<Label> forced_first,
                           std::optional<Label> wrap_back_to) -> std::optional<Word> {
     // reach[v] = labels achievable at v extending some valid prefix.
-    std::vector<BitVector> reach(n);
-    reach[0] = candidates[0];
-    if (forced_first.has_value()) {
-      BitVector only(beta);
-      only.set(*forced_first, true);
-      reach[0] = reach[0] & only;
-    }
-    if (!reach[0].any()) return std::nullopt;
+    std::copy(cand.begin(), cand.begin() + static_cast<std::ptrdiff_t>(W), reach.begin());
+    if (forced_first.has_value()) keep_only(reach.data(), *forced_first);
+    if (!any(reach.data())) return std::nullopt;
     for (std::size_t v = 1; v < n; ++v) {
-      reach[v] = reach[v - 1].multiplied(edge) & candidates[v];
-      if (!reach[v].any()) return std::nullopt;
+      const std::uint64_t* prev = &reach[(v - 1) * W];
+      std::uint64_t* cur = &reach[v * W];
+      std::fill(cur, cur + W, 0);
+      for (std::size_t w = 0; w < W; ++w) {
+        for (std::uint64_t bits = prev[w]; bits != 0; bits &= bits - 1) {
+          const std::uint64_t* r = row(w * 64 + std::countr_zero(bits));
+          for (std::size_t k = 0; k < W; ++k) cur[k] |= r[k];
+        }
+      }
+      const std::uint64_t* c = &cand[v * W];
+      for (std::size_t k = 0; k < W; ++k) cur[k] &= c[k];
+      if (!any(cur)) return std::nullopt;
     }
     // Filter the last node by the wrap edge, if requested.
+    std::uint64_t* tail = &reach[(n - 1) * W];
     if (wrap_back_to.has_value()) {
-      BitVector can_close(beta);
-      for (Label a = 0; a < beta; ++a) {
-        if (reach[n - 1].get(a) && edge.get(a, *wrap_back_to)) can_close.set(a, true);
+      for (std::size_t w = 0; w < W; ++w) {
+        std::uint64_t keep = 0;
+        for (std::uint64_t bits = tail[w]; bits != 0; bits &= bits - 1) {
+          if (has(row(w * 64 + std::countr_zero(bits)), *wrap_back_to)) {
+            keep |= bits & (~bits + 1);
+          }
+        }
+        tail[w] = keep;
       }
-      reach[n - 1] = can_close;
-      if (!reach[n - 1].any()) return std::nullopt;
+      if (!any(tail)) return std::nullopt;
     }
-    // Backward extraction: choose the smallest label at each position that
-    // still admits a completion. Compute feasible sets right-to-left.
-    std::vector<BitVector> feas(n);
-    feas[n - 1] = reach[n - 1];
-    const BitMatrix edge_t = edge.transposed();
+    // Backward pass, in place: reach[v - 1] keeps the labels whose edge row
+    // meets the (already filtered) reach[v], so afterwards every reach[v]
+    // holds exactly the labels that still admit a completion.
     for (std::size_t v = n - 1; v > 0; --v) {
-      feas[v - 1] = feas[v].multiplied(edge_t) & reach[v - 1];
+      const std::uint64_t* next = &reach[v * W];
+      std::uint64_t* cur = &reach[(v - 1) * W];
+      for (std::size_t w = 0; w < W; ++w) {
+        std::uint64_t keep = 0;
+        for (std::uint64_t bits = cur[w]; bits != 0; bits &= bits - 1) {
+          const std::uint64_t* r = row(w * 64 + std::countr_zero(bits));
+          std::uint64_t meet = 0;
+          for (std::size_t k = 0; k < W; ++k) meet |= r[k] & next[k];
+          if (meet != 0) keep |= bits & (~bits + 1);
+        }
+        cur[w] = keep;
+      }
     }
+    // Extraction: the smallest feasible label at each position that is a
+    // successor of the label already chosen before it.
     Word out(n, 0);
     for (std::size_t v = 0; v < n; ++v) {
-      BitVector allowed = feas[v];
-      if (v > 0) {
-        // restrict to successors of the already-chosen out[v-1]
-        BitVector next(beta);
-        for (Label b = 0; b < beta; ++b) {
-          if (allowed.get(b) && edge.get(out[v - 1], b)) next.set(b, true);
-        }
-        allowed = next;
-      }
-      bool found = false;
-      for (Label b = 0; b < beta; ++b) {
-        if (allowed.get(b)) {
-          out[v] = b;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return std::nullopt;  // defensive; should not happen
+      const std::size_t b = lowest(&reach[v * W], v > 0 ? row(out[v - 1]) : nullptr);
+      if (b == beta) return std::nullopt;  // defensive; should not happen
+      out[v] = static_cast<Label>(b);
     }
     return out;
   };
@@ -323,12 +356,12 @@ std::optional<Word> complete_by_dp(const PairwiseProblem& problem, const Word& i
 
   if (n == 1) {
     for (Label b = 0; b < beta; ++b) {
-      if (candidates[0].get(b) && edge.get(b, b)) return Word{b};
+      if (has(cand.data(), b) && has(row(b), b)) return Word{b};
     }
     return std::nullopt;
   }
   for (Label first = 0; first < beta; ++first) {
-    if (!candidates[0].get(first)) continue;
+    if (!has(cand.data(), first)) continue;
     if (auto out = solve_linear(first, first)) return out;
   }
   return std::nullopt;

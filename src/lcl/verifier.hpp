@@ -144,6 +144,17 @@ std::optional<Word> solve_by_dp(const PairwiseProblem& problem, const Word& inpu
 /// Like solve_by_dp but with some positions pre-assigned (fixed[i] set).
 /// Returns the lexicographically smallest completion consistent with the
 /// pairwise constraints at *all* nodes, or nullopt.
+///
+/// Cost: label sets are W = ceil(beta / 64) packed words per position in
+/// two flat n * W buffers (candidates, reach), allocated once per call —
+/// nothing per position. A forward pass ORs the edge rows of each
+/// reachable label, a backward pass filters reach in place to the labels
+/// whose edge row meets the next position's set, and extraction takes the
+/// lowest surviving successor: O(n * beta * W) word operations on a path,
+/// times the number of candidate first labels on a cycle (each first label
+/// reruns the passes to close the wrap edge). The synthesized algorithms
+/// call this once per gap between ruling blocks or anchors, so it is the
+/// simulation layer's hot loop.
 std::optional<Word> complete_by_dp(const PairwiseProblem& problem, const Word& inputs,
                                    const std::vector<std::optional<Label>>& fixed);
 

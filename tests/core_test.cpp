@@ -171,6 +171,29 @@ TEST(BitVector, SubsetFirstSetAndInPlaceOps) {
   EXPECT_EQ(c.dim(), 130u);
 }
 
+TEST(BitVector, WordsAgreeWithGetAndPaddingIsZero) {
+  Rng rng(23);
+  for (std::size_t dim : {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+                          std::size_t{130}}) {
+    const std::size_t num_words = (dim + 63) / 64;
+    BitVector random(dim);
+    for (std::size_t i = 0; i < dim; ++i) random.set(i, rng.next_bool());
+    BitVector flipped = BitVector::ones(dim);
+    flipped.remove(random);  // the complement, built through word-level ops
+    for (const BitVector* v : {&random, &flipped}) {
+      const std::uint64_t* words = v->words();
+      for (std::size_t i = 0; i < dim; ++i) {
+        EXPECT_EQ(((words[i / 64] >> (i % 64)) & 1u) != 0, v->get(i))
+            << "dim " << dim << " bit " << i;
+      }
+      // Every bit past dim in the last word is padding and must be zero.
+      for (std::size_t i = dim; i < num_words * 64; ++i) {
+        EXPECT_EQ((words[i / 64] >> (i % 64)) & 1u, 0u) << "dim " << dim << " pad " << i;
+      }
+    }
+  }
+}
+
 TEST(BitMatrix, RowsMeetingMatchesNaiveAtWordBoundaries) {
   Rng rng(19);
   for (std::size_t dim : {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
